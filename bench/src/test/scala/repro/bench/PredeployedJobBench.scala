@@ -16,15 +16,15 @@ class PredeployedJobBench extends SparkSpec {
 
     def timeAll(job: PredeployedJob.ComputingJob): Double = {
       val t0 = System.nanoTime()
-      batches.foreach(b => job.invoke(b).collect())
+      batches.foreach(b => JobExecution.collectAndRelease(job.invoke(b)))
       (System.nanoTime() - t0) / 1e6 / batches.size
     }
 
     // Warm both paths once so JIT/codegen caches don't bias the comparison.
-    PredeployedJob.predeployed(Enrichments.safetyRating, () => stores.snapshot)
-      .invoke(batches.head).collect()
-    PredeployedJob.adhoc(spark, "safety_rating", () => stores.snapshot)
-      .invoke(batches.head).collect()
+    JobExecution.collectAndRelease(
+      PredeployedJob.predeployed(Enrichments.safetyRating, () => stores.snapshot).invoke(batches.head))
+    JobExecution.collectAndRelease(
+      PredeployedJob.adhoc(spark, "safety_rating", () => stores.snapshot).invoke(batches.head))
 
     val adhocMs = timeAll(PredeployedJob.adhoc(spark, "safety_rating", () => stores.snapshot))
     val preMs = timeAll(PredeployedJob.predeployed(Enrichments.safetyRating, () => stores.snapshot))

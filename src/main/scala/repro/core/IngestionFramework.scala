@@ -50,7 +50,8 @@ final case class IngestionReport(
   *  - **computing job** — invoked repeatedly (this loop is the Active Feed
   *    Manager): pull one batch, parse it into a DataFrame, evaluate the
   *    attached UDF against the *current* reference snapshot (Dynamic) or
-  *    the feed-start snapshot (Static), and push the enriched frame on;
+  *    the feed-start snapshot (Static), push the enriched frame on, and
+  *    free the broadcast state the job built ([[JobExecution]]);
   *  - **storage job** — a thread draining an active [[PartitionHolder]]
   *    into a hash-partitioned [[StorageSink]].
   *
@@ -122,7 +123,7 @@ object IngestionFramework {
             val compiled = staticJava.getOrElse(JavaUdfs.compile(name, stores.snapshot))
             compiled.apply(batchDf)
         }
-        val rows = enriched.collect().toSeq
+        val rows = JobExecution.collectAndRelease(enriched)
         storageHolder.push((rows, enriched.schema))
         batchDurations += (System.nanoTime() - b0) / 1000000L
         records += batch.size

@@ -51,7 +51,7 @@ object StreamingDriver {
               val compiled = staticJava.getOrElse(JavaUdfs.compile(name, stores.snapshot))
               compiled.apply(df)
           }
-          sink.append(enriched.collect().toSeq, enriched.schema)
+          sink.append(JobExecution.collectAndRelease(enriched), enriched.schema)
         }
         ()
       }

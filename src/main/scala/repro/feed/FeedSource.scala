@@ -22,14 +22,22 @@ final class FeedSource(
   /** Start the intake thread: frames are pushed until the source is
     * exhausted, then the holder is closed (EOF). Returns the running thread
     * so callers can join it.
+    *
+    * With a rate, records arrive on an absolute schedule from the thread's
+    * start `t0`: frame `i` is pushed once its last record has arrived, at
+    * `t0 + (i + 1) * batchSize / rate` (the final, partial frame at
+    * `t0 + n / rate`). Time spent pushing or oversleeping is made up on the
+    * next frame instead of accumulating, so the feed keeps its rate.
     */
   def start(holder: PartitionHolder[Seq[Tweet]]): Thread = {
     val t = new Thread(() => {
-      val perRecordNanos = ratePerSec.map(r => (1e9 / r).toLong)
+      val t0 = System.nanoTime()
+      var arrived = 0L
       tweets.grouped(batchSize).foreach { frame =>
-        perRecordNanos.foreach { n =>
-          val sleepMs = frame.size * n / 1000000
-          if (sleepMs > 0) Thread.sleep(sleepMs)
+        arrived += frame.size
+        ratePerSec.foreach { r =>
+          val waitNanos = t0 + (arrived * 1e9 / r).toLong - System.nanoTime()
+          if (waitNanos > 0) Thread.sleep(waitNanos / 1000000, (waitNanos % 1000000).toInt)
         }
         holder.push(frame)
       }

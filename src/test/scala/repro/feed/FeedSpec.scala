@@ -122,6 +122,22 @@ class FeedSpec extends SparkSpec {
     assert(ms >= 150, s"100 records at 500 rec/s should take >=200ms-ish, took ${ms}ms")
   }
 
+  test("rate-limited feed finishes within 10% of the prescribed time") {
+    // 250 frames of 3 records, each due 2 ms after the previous one: a
+    // per-frame sleep that ignores elapsed time (or truncates 2 ms of
+    // records to whole milliseconds) drifts far from the schedule. The
+    // window runs from the first frame's arrival to the last one's, so the
+    // intake thread's start-up and the join are outside it.
+    val tweets = TweetData.localTweets(750)
+    val h = new PartitionHolder[Seq[Tweet]]("fs4b", 512)
+    val feed = new FeedSource(tweets, 3, ratePerSec = Some(1500.0)).start(h)
+    val arrivals = Iterator.continually(h.pull()).takeWhile(_.isDefined).map(_ => System.nanoTime()).toVector
+    feed.join()
+    assert(arrivals.size == 250)
+    val ms = (arrivals.last - arrivals.head) / 1e6
+    assert(ms >= 448 && ms <= 548, f"frames 1 to 250 at 1500 rec/s should span 498 ms, took $ms%.0f ms")
+  }
+
   test("feed rejects non-positive batch size") {
     intercept[IllegalArgumentException] { new FeedSource(Seq.empty, 0) }
   }
