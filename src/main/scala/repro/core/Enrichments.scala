@@ -32,6 +32,13 @@ import repro.text.Text
   * UDFs is small by construction, so the strategy belongs to the UDF and
   * must not change with a session setting. The computing job frees each
   * batch's broadcasts when it completes ([[JobExecution]]).
+  * A broadcast side derived from reference data by a group-by or window —
+  * the sums of [[religiousPopulation]], the top-3 window of
+  * [[largestReligions]] and the top-10 of [[highRiskTweetCheck]] — is
+  * computed in one partition ([[inOnePartition]]): one partition already
+  * satisfies the clustering the window and the aggregate require, so no
+  * exchange is planned, and the reference data is small enough that one
+  * task derives it faster than a shuffle over the session's partitions.
   * [[tweetContext]] broadcasts only DistrictAreas, for its band join. The
   * other joins of the complex UDFs (Suspicious Names, Tweet Context's
   * per-district sides, Worrisome Tweets), the spatial grid joins
@@ -54,6 +61,12 @@ object Enrichments {
     */
   private def rankedConcat(items: Column): Column =
     array_join(transform(array_sort(items), x => x("value")), ",")
+
+  /** `ref` coalesced to one partition, for a broadcast side derived from
+    * reference data: the group-by or window above it then needs no
+    * exchange, whatever `spark.sql.shuffle.partitions` is.
+    */
+  private def inOnePartition(ref: DataFrame): DataFrame = ref.coalesce(1)
 
   private def leftEnrich(tweets: DataFrame, perId: DataFrame,
                          fills: Map[String, Column] = Map.empty): DataFrame = {
@@ -90,7 +103,7 @@ object Enrichments {
     * country code for determinism).
     */
   def highRiskTweetCheck(tweets: DataFrame, refs: Refs): DataFrame = {
-    val top10 = broadcast(refs.sensitiveWords
+    val top10 = broadcast(inOnePartition(refs.sensitiveWords)
       .groupBy(col("country") as "sw_country")
       .agg(count(lit(1)) as "cnt")
       .orderBy(desc("cnt"), asc("sw_country"))
@@ -114,7 +127,7 @@ object Enrichments {
     * country.
     */
   def religiousPopulation(tweets: DataFrame, refs: Refs): DataFrame = {
-    val pops = broadcast(refs.religiousPopulations
+    val pops = broadcast(inOnePartition(refs.religiousPopulations)
       .groupBy(col("country_name"))
       .agg(sum(col("population")) as "religious_population"))
     tweets
@@ -128,7 +141,7 @@ object Enrichments {
   def largestReligions(tweets: DataFrame, refs: Refs): DataFrame = {
     val w = Window.partitionBy(col("country_name"))
       .orderBy(desc("population"), asc("religion_name"))
-    val top3 = broadcast(refs.religiousPopulations
+    val top3 = broadcast(inOnePartition(refs.religiousPopulations)
       .withColumn("__rank", row_number().over(w))
       .where(col("__rank") <= 3)
       .groupBy(col("country_name"))

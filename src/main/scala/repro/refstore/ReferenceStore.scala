@@ -4,22 +4,27 @@ import scala.collection.mutable
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
 
 /** A versioned, upsertable reference dataset — the analog of an AsterixDB
   * dataset backed by an LSM tree.
   *
   * The immutable `base` DataFrame plays the role of the on-disk LSM
   * components; the in-memory delta map plays the role of the LSM memory
-  * component that an `UPSERT` activates. `snapshot()` merges the two with
-  * last-writer-wins semantics on the primary key. When no update has ever
-  * arrived, `snapshot()` returns the base directly (the paper's observation
-  * that the *first* update changes the access path — and measurably slows
-  * readers — is mirrored by this fast path disappearing).
+  * component that an `UPSERT` activates. When no update has ever arrived,
+  * `snapshot()` returns the base directly (the paper's observation that the
+  * *first* update changes the access path — and measurably slows readers —
+  * is mirrored by this fast path disappearing).
+  *
+  * Once the delta is non-empty, `snapshot()` builds one local relation per
+  * store version: the base rows (read once, by the first upsert) without
+  * those whose key is in the delta, followed by the delta's rows —
+  * last writer wins on the primary key. Its plan is a single relation
+  * whatever the size of the delta; building it costs time linear in the
+  * rows, not a plan that grows with every upserted key.
   *
   * Thread-safe: the ingestion pipeline reads snapshots while an updater
-  * thread upserts (paper §7.3). Each snapshot is an immutable plan over a
-  * frozen copy of the delta, so a computing job sees exactly the updates
+  * thread upserts (paper §7.3). Each snapshot is an immutable relation over
+  * a frozen copy of the delta, so a computing job sees exactly the updates
   * applied before it started — the record-level consistency model the paper
   * assumes.
   */
@@ -34,6 +39,9 @@ final class ReferenceStore(
   private var ver: Long = 0L
   private var cachedVer: Long = -1L
   private var cachedSnap: DataFrame = base
+  private var baseRows: Array[Row] = _
+
+  private def key(r: Row): String = String.valueOf(r.get(pkIdx))
 
   /** Number of upsert calls applied so far (monotonic). */
   def version: Long = synchronized(ver)
@@ -45,10 +53,11 @@ final class ReferenceStore(
     * (paper footnote 1). Rows must match the base schema.
     */
   def upsert(rows: Seq[Row]): Unit = synchronized {
+    if (baseRows == null) baseRows = base.collect()
     rows.foreach { r =>
       require(r.size == base.schema.size,
         s"$name: upsert row arity ${r.size} != schema arity ${base.schema.size}")
-      delta(String.valueOf(r.get(pkIdx))) = r
+      delta(key(r)) = r
     }
     ver += 1
   }
@@ -58,18 +67,15 @@ final class ReferenceStore(
     upsert(ps.map(p => Row.fromSeq(p.productIterator.toSeq)))
 
   /** Current merged view. Cached per version so repeated reads between
-    * updates (e.g. several UDFs sharing one store) build the plan once.
+    * updates (e.g. several UDFs sharing one store) build it once.
     */
   def snapshot(): DataFrame = synchronized {
     if (ver == cachedVer) return cachedSnap
     val snap =
       if (delta.isEmpty) base
       else {
-        val deltaDf = spark.createDataFrame(delta.values.toList.asJava, base.schema)
-        val keys = delta.keys.toSeq
-        base
-          .where(!col(primaryKey).cast("string").isin(keys: _*))
-          .unionByName(deltaDf)
+        val merged = baseRows.iterator.filterNot(r => delta.contains(key(r))) ++ delta.valuesIterator
+        spark.createDataFrame(merged.toList.asJava, base.schema)
       }
     cachedVer = ver
     cachedSnap = snap

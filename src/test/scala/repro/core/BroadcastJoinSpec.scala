@@ -7,7 +7,7 @@ import scala.jdk.CollectionConverters._
 
 import org.apache.spark.SparkEnv
 import org.apache.spark.broadcast.Broadcast
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.optimizer.BuildRight
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
@@ -35,8 +35,8 @@ class BroadcastJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper with Even
   private def batch(n: Int): DataFrame = spark.createDataFrame(TweetData.localTweets(n))
 
   /** The executed (adaptive final) plan of one 420-record computing job. */
-  private def finalPlan(udf: String): SparkPlan = {
-    val enriched = Enrichments.byName(udf)(batch(420), stores.snapshot)
+  private def finalPlan(udf: String, refs: Refs = stores.snapshot): SparkPlan = {
+    val enriched = Enrichments.byName(udf)(batch(420), refs)
     JobExecution.collectAndRelease(enriched)
     enriched.queryExecution.executedPlan
   }
@@ -120,6 +120,39 @@ class BroadcastJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper with Even
         assert(j.buildSide == BuildRight, j.treeString)
         assert(collect(j.left) { case e: Exchange => e }.isEmpty, j.treeString)
       }
+    }
+
+  /** Reference snapshots off the zero-delta path: the stores the three
+    * aggregated-side UDFs read each carry a new key and a replaced one.
+    */
+  private lazy val updatedRefs: Refs = {
+    val s = TestRefs.small(spark)
+    for (store <- Seq(s.religiousPopulations, s.sensitiveWords)) {
+      val first = store.staticSnapshot.head()
+      val renamed = Row.fromSeq("new-key" +: first.toSeq.tail)
+      store.upsert(Seq(first, renamed))
+      assert(store.deltaSize == 2)
+    }
+    s.snapshot
+  }
+
+  private val refVariants = Seq[(String, () => Refs)](
+    "a store with a non-empty delta" -> (() => updatedRefs),
+    "staticRefs" -> (() => stores.staticRefs))
+
+  for ((refsName, refs) <- refVariants;
+       udf <- Seq("religious_population", "largest_religions", "high_risk_check"))
+    test(s"$udf derives its reference side with no shuffle, on $refsName") {
+      val plan = finalPlan(udf, refs())
+      val joins = collect(plan) { case j: BroadcastHashJoinExec => j }
+      assert(joins.nonEmpty, plan.treeString)
+      joins.foreach(j => assert(collect(j.right) { case e: ShuffleExchangeExec => e }.isEmpty, j.treeString))
+    }
+
+  for ((refsName, refs) <- refVariants)
+    test(s"largest_religions plans no shuffle at all, on $refsName") {
+      val plan = finalPlan("largest_religions", refs())
+      assert(collect(plan) { case e: ShuffleExchangeExec => e }.isEmpty, plan.treeString)
     }
 
   test("the ad-hoc SQL path uses the same broadcast joins") {
