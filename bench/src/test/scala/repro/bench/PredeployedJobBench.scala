@@ -1,12 +1,15 @@
 package repro.bench
 
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
 import repro.core._
 import repro.data.TweetData
 
 /** §5.1 — predeployed (compile-once) vs ad-hoc (re-parse per invocation)
   * computing jobs: the per-invocation overhead the predeployed-job
-  * technique removes.
+  * technique removes. The predeployed side is [[ComputingJob]], the job
+  * the framework runs per batch.
   */
 class PredeployedJobBench extends SparkSpec {
 
@@ -14,20 +17,21 @@ class PredeployedJobBench extends SparkSpec {
     val stores = RefStoreSet.create(spark)
     val batches = (0 until 40).map(i => TweetData.tweets(spark, 420, seed = i))
 
-    def timeAll(job: PredeployedJob.ComputingJob): Double = {
+    def timeAll(job: DataFrame => DataFrame): Double = {
       val t0 = System.nanoTime()
-      batches.foreach(b => JobExecution.collectAndRelease(job.invoke(b)))
+      batches.foreach(b => JobExecution.collectAndRelease(job(b)))
       (System.nanoTime() - t0) / 1e6 / batches.size
     }
 
-    // Warm both paths once so JIT/codegen caches don't bias the comparison.
-    JobExecution.collectAndRelease(
-      PredeployedJob.predeployed(Enrichments.safetyRating, () => stores.snapshot).invoke(batches.head))
-    JobExecution.collectAndRelease(
-      PredeployedJob.adhoc(spark, "safety_rating", () => stores.snapshot).invoke(batches.head))
+    val pre = ComputingJob(SqlEnrichment("safety_rating"), Dynamic, stores)
+    val adhoc = PredeployedJob.adhoc(spark, "safety_rating", () => stores.snapshot)
 
-    val adhocMs = timeAll(PredeployedJob.adhoc(spark, "safety_rating", () => stores.snapshot))
-    val preMs = timeAll(PredeployedJob.predeployed(Enrichments.safetyRating, () => stores.snapshot))
+    // Warm both paths once so JIT/codegen caches don't bias the comparison.
+    JobExecution.collectAndRelease(pre(batches.head))
+    JobExecution.collectAndRelease(adhoc(batches.head))
+
+    val adhocMs = timeAll(adhoc)
+    val preMs = timeAll(pre)
 
     BenchUtil.banner("Predeployed vs ad-hoc computing jobs (ms per invocation, 420-record batches)")
     BenchUtil.row("path", "ms/invocation")

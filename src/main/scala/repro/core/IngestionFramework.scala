@@ -2,7 +2,7 @@ package repro.core
 
 import scala.collection.mutable.ArrayBuffer
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Row, SparkSession}
 import org.apache.spark.sql.types.StructType
 
 import repro.data.Tweet
@@ -55,14 +55,21 @@ final case class IngestionReport(
   *  - **storage job** — a thread draining an active [[PartitionHolder]]
   *    into a hash-partitioned [[StorageSink]].
   *
-  * The computing transform is built once before the feed starts (the
-  * predeployed-job optimization); each invocation only rebinds the batch
-  * and — in Dynamic mode — the reference snapshot.
+  * The computing job ([[ComputingJob]]) is built once before the feed
+  * starts (the predeployed-job optimization); each invocation rebinds the
+  * batch and, in Dynamic mode, re-reads the reference snapshot (a Java
+  * enrichment recompiles its state from it).
   */
 object IngestionFramework {
 
   private val nextRunId = new java.util.concurrent.atomic.AtomicLong()
 
+  /** Runs one feed to EOF. The computing models of §4.3 are settings of
+    * it: Model 1 (per record, sees every reference change) is `batchSize =
+    * 1` with [[Dynamic]]; Model 2 (per batch, the framework default) is
+    * [[Dynamic]]; Model 3 (state built once, the stale baseline) is
+    * [[Static]].
+    */
   def run(
       spark: SparkSession,
       tweets: Seq[Tweet],
@@ -93,12 +100,7 @@ object IngestionFramework {
       }, s"storage-job-$runId")
       storageThread.setDaemon(true)
 
-      // Static mode freezes state before the feed starts.
-      val staticJava: Option[JavaUdfs.CompiledJavaUdf] = (mode, spec) match {
-        case (Static, JavaEnrichment(name)) => Some(JavaUdfs.compile(name, stores.staticRefs))
-        case _ => None
-      }
-
+      val job = ComputingJob(spec, mode, stores)
       val batchDurations = ArrayBuffer.empty[Long]
       val t0 = System.nanoTime()
 
@@ -113,16 +115,7 @@ object IngestionFramework {
       while (next.isDefined) {
         val batch = next.get
         val b0 = System.nanoTime()
-        val batchDf = spark.createDataFrame(batch)
-        val enriched: DataFrame = spec match {
-          case NoEnrichment => batchDf
-          case SqlEnrichment(name) =>
-            val refs = if (mode == Dynamic) stores.snapshot else stores.staticRefs
-            Enrichments.byName(name)(batchDf, refs)
-          case JavaEnrichment(name) =>
-            val compiled = staticJava.getOrElse(JavaUdfs.compile(name, stores.snapshot))
-            compiled.apply(batchDf)
-        }
+        val enriched = job(spark.createDataFrame(batch))
         val rows = JobExecution.collectAndRelease(enriched)
         storageHolder.push((rows, enriched.schema))
         batchDurations += (System.nanoTime() - b0) / 1000000L
@@ -142,29 +135,4 @@ object IngestionFramework {
       PartitionHolderManager.unregister(storageHolder.id)
     }
   }
-}
-
-/** The three computing models of §4.3, expressed through the framework. */
-object ComputingModels {
-
-  /** Model 1 — evaluate the UDF per record (batch size 1): sees every
-    * reference change, maximal overhead.
-    */
-  def model1(spark: SparkSession, tweets: Seq[Tweet], spec: EnrichmentSpec,
-             stores: RefStoreSet, onBatchDone: Int => Unit = _ => ()): IngestionReport =
-    IngestionFramework.run(spark, tweets, 1, spec, Dynamic, stores, onBatchDone = onBatchDone)
-
-  /** Model 2 — evaluate per batch: the framework default; reference changes
-    * are visible at batch granularity.
-    */
-  def model2(spark: SparkSession, tweets: Seq[Tweet], batchSize: Int, spec: EnrichmentSpec,
-             stores: RefStoreSet, onBatchDone: Int => Unit = _ => ()): IngestionReport =
-    IngestionFramework.run(spark, tweets, batchSize, spec, Dynamic, stores, onBatchDone = onBatchDone)
-
-  /** Model 3 — treat the stream as an infinite dataset: state is built once
-    * and never refreshed (the stale baseline).
-    */
-  def model3(spark: SparkSession, tweets: Seq[Tweet], batchSize: Int, spec: EnrichmentSpec,
-             stores: RefStoreSet, onBatchDone: Int => Unit = _ => ()): IngestionReport =
-    IngestionFramework.run(spark, tweets, batchSize, spec, Static, stores, onBatchDone = onBatchDone)
 }

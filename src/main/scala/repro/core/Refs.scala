@@ -48,20 +48,15 @@ final class RefStoreSet(
     religiousBuildings, facilities, sensitiveNames, districts, averageIncomes,
     residents, attackEvents)
 
-  def snapshot: Refs = Refs(
-    sensitiveWords.snapshot(), safetyRatings.snapshot(),
-    religiousPopulations.snapshot(), suspects.snapshot(), monuments.snapshot(),
-    religiousBuildings.snapshot(), facilities.snapshot(),
-    sensitiveNames.snapshot(), districts.snapshot(), averageIncomes.snapshot(),
-    residents.snapshot(), attackEvents.snapshot())
+  def snapshot: Refs = refs(_.snapshot())
 
-  val staticRefs: Refs = Refs(
-    sensitiveWords.staticSnapshot, safetyRatings.staticSnapshot,
-    religiousPopulations.staticSnapshot, suspects.staticSnapshot,
-    monuments.staticSnapshot, religiousBuildings.staticSnapshot,
-    facilities.staticSnapshot, sensitiveNames.staticSnapshot,
-    districts.staticSnapshot, averageIncomes.staticSnapshot,
-    residents.staticSnapshot, attackEvents.staticSnapshot)
+  val staticRefs: Refs = refs(_.staticSnapshot)
+
+  private def refs(view: ReferenceStore => DataFrame): Refs = Refs(
+    view(sensitiveWords), view(safetyRatings), view(religiousPopulations),
+    view(suspects), view(monuments), view(religiousBuildings), view(facilities),
+    view(sensitiveNames), view(districts), view(averageIncomes), view(residents),
+    view(attackEvents))
 }
 
 object RefStoreSet {

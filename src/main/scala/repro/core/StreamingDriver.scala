@@ -1,13 +1,14 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Row, SparkSession}
+import org.apache.spark.sql.{Dataset, Row, SparkSession}
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 
 import repro.data.Tweet
 import repro.feed.StorageSink
 
-/** Structured Streaming face of the framework: the same computing-job
-  * function driven by `foreachBatch` over a micro-batched stream.
+/** Structured Streaming face of the framework: the same [[ComputingJob]]
+  * driven by `foreachBatch` over a micro-batched stream, one micro-batch
+  * per `batchSize` chunk of the feed.
   *
   * Each micro-batch re-reads the reference snapshot (Dynamic) before
   * applying the enrichment — the standard Spark recipe for enrichment joins
@@ -31,29 +32,13 @@ object StreamingDriver {
     val sink = new StorageSink()
     val stream = MemoryStream[Tweet]
 
-    val staticJava: Option[JavaUdfs.CompiledJavaUdf] = (mode, spec) match {
-      case (Static, JavaEnrichment(name)) => Some(JavaUdfs.compile(name, stores.staticRefs))
-      case _ => None
-    }
-    val staticRefs = stores.staticRefs
+    val job = ComputingJob(spec, mode, stores)
 
     val query = stream.toDF().writeStream
       .outputMode("append")
       .foreachBatch { (batchDf: Dataset[Row], _: Long) =>
-        val df = batchDf
-        if (!df.isEmpty) {
-          val enriched: DataFrame = spec match {
-            case NoEnrichment => df
-            case SqlEnrichment(name) =>
-              val refs = if (mode == Dynamic) stores.snapshot else staticRefs
-              Enrichments.byName(name)(df, refs)
-            case JavaEnrichment(name) =>
-              val compiled = staticJava.getOrElse(JavaUdfs.compile(name, stores.snapshot))
-              compiled.apply(df)
-          }
-          sink.append(JobExecution.collectAndRelease(enriched), enriched.schema)
-        }
-        ()
+        val enriched = job(batchDf)
+        sink.append(JobExecution.collectAndRelease(enriched), enriched.schema)
       }
       .start()
 

@@ -157,7 +157,7 @@ class BroadcastJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper with Even
 
   test("the ad-hoc SQL path uses the same broadcast joins") {
     for (name <- PredeployedJob.adhocSql.keys) {
-      val enriched = PredeployedJob.adhoc(spark, name, () => stores.snapshot).invoke(batch(420))
+      val enriched = PredeployedJob.adhoc(spark, name, () => stores.snapshot)(batch(420))
       JobExecution.collectAndRelease(enriched)
       val plan = enriched.queryExecution.executedPlan
       val joins = collect(plan) { case j: BroadcastHashJoinExec => j }
