@@ -7,26 +7,26 @@ import org.apache.spark.sql.DataFrame
   * then invoked once per batch with only the batch as a parameter — the
   * predeployed-job optimization.
   *
-  * Resolved when the job is built: the enrichment function from
-  * [[Enrichments.byName]]; in [[Static]] mode also the feed-start
-  * reference snapshot (`stores.staticRefs`) and, for a Java enrichment,
-  * the state [[JavaUdfs.compile]] loads from it. Rebound per call in
-  * [[Dynamic]] mode: the current reference snapshot (`stores.snapshot`),
-  * from which a Java enrichment recompiles its state.
+  * The spec names an enrichment of a reference snapshot: an entry of
+  * [[Enrichments.byName]] or of [[JavaUdfs.byName]]. In [[Static]] mode it
+  * is applied once, when the job is built, to the feed-start snapshot
+  * (`stores.staticRefs`), so a Java enrichment loads its state once. In
+  * [[Dynamic]] mode it is applied per call to the current snapshot
+  * (`stores.snapshot`), from which a Java enrichment reloads its state.
   */
 object ComputingJob {
 
   def apply(spec: EnrichmentSpec, mode: RefreshMode, stores: RefStoreSet): DataFrame => DataFrame =
-    (spec, mode) match {
-      case (NoEnrichment, _) => identity
-      case (SqlEnrichment(name), Dynamic) =>
-        val f = Enrichments.byName(name)
-        batch => f(batch, stores.snapshot)
-      case (SqlEnrichment(name), Static) =>
-        val f = Enrichments.byName(name)
-        val refs = stores.staticRefs
-        batch => f(batch, refs)
-      case (JavaEnrichment(name), Dynamic) => batch => JavaUdfs.compile(name, stores.snapshot)(batch)
-      case (JavaEnrichment(name), Static) => JavaUdfs.compile(name, stores.staticRefs)
+    spec match {
+      case NoEnrichment => identity
+      case SqlEnrichment(name) => bind(refs => Enrichments.byName(name)(_, refs), mode, stores)
+      case JavaEnrichment(name) => bind(JavaUdfs.byName(name), mode, stores)
+    }
+
+  private def bind(enrich: Refs => DataFrame => DataFrame, mode: RefreshMode,
+                   stores: RefStoreSet): DataFrame => DataFrame =
+    mode match {
+      case Dynamic => batch => enrich(stores.snapshot)(batch)
+      case Static => enrich(stores.staticRefs)
     }
 }

@@ -17,11 +17,12 @@ import repro.text.Text
   * emitted as deterministically ordered comma-joined strings so results are
   * scalar-comparable against the DuckDB oracle; empty lists become "".
   *
-  * Join strategy: the country-keyed hash joins of batch rows against
-  * reference-derived rows broadcast the reference side with an explicit
-  * `broadcast(...)` hint, so the batch is never shuffled and the reference
-  * side is built once per computing job instead of being re-partitioned:
-  *  - [[tweetSafetyCheck]] broadcasts the SensitiveWords projection;
+  * Join strategy: an enrichment decided by a key of the tweet joins the
+  * batch once, on that key, against a reference-derived side, and every
+  * country-keyed side is broadcast with an explicit `broadcast(...)` hint,
+  * so the batch is never shuffled and the reference side is built once per
+  * computing job instead of being re-partitioned:
+  *  - [[tweetSafetyCheck]] broadcasts the per-country word sets;
   *  - [[highRiskTweetCheck]] broadcasts the top-10 country list;
   *  - [[safetyRating]] broadcasts SafetyRatings;
   *  - [[religiousPopulation]] broadcasts the per-country population sums;
@@ -33,13 +34,15 @@ import repro.text.Text
   * must not change with a session setting. The computing job frees each
   * batch's broadcasts when it completes ([[JobExecution]]).
   * A broadcast side derived from reference data by a group-by or window —
-  * the sums of [[religiousPopulation]], the top-3 window of
-  * [[largestReligions]] and the top-10 of [[highRiskTweetCheck]] — is
-  * computed in one partition ([[inOnePartition]]): one partition already
-  * satisfies the clustering the window and the aggregate require, so no
-  * exchange is planned, and the reference data is small enough that one
-  * task derives it faster than a shuffle over the session's partitions.
-  * [[tweetContext]] broadcasts only DistrictAreas, for its band join. The
+  * the word sets of [[tweetSafetyCheck]], the sums of
+  * [[religiousPopulation]], the top-3 window of [[largestReligions]] and
+  * the top-10 of [[highRiskTweetCheck]] — is computed in one partition
+  * ([[inOnePartition]]): one partition already satisfies the clustering the
+  * window and the aggregate require, so no exchange is planned, and the
+  * reference data is small enough that one task derives it faster than a
+  * shuffle over the session's partitions.
+  * [[tweetContext]] broadcasts only DistrictAreas, for its band join, and
+  * joins its per-district sides on the district the band join found. The
   * other joins of the complex UDFs (Suspicious Names, Tweet Context's
   * per-district sides, Worrisome Tweets), the spatial grid joins
   * (`Spatial.gridJoin`) and the Fuzzy Suspects similarity join keep the
@@ -88,14 +91,14 @@ object Enrichments {
     * country has a sensitive word contained in the tweet text.
     */
   def tweetSafetyCheck(tweets: DataFrame, refs: Refs): DataFrame = {
-    val words = broadcast(refs.sensitiveWords.select(col("country") as "sw_country", col("word")))
-    val flagged = tweets
-      .join(words, col("country") === col("sw_country") && instr(col("text"), col("word")) > 0,
-        "left_semi")
-      .select(col("id")).distinct().withColumn("__red", lit(true))
-    leftEnrich(tweets, flagged)
-      .withColumn("safety_check_flag", when(col("__red"), "Red").otherwise("Green"))
-      .drop("__red")
+    val words = broadcast(inOnePartition(refs.sensitiveWords)
+      .groupBy(col("country") as "sw_country")
+      .agg(collect_set(col("word")) as "__words"))
+    tweets
+      .join(words, col("country") === col("sw_country"), "left")
+      .withColumn("safety_check_flag",
+        when(exists(col("__words"), w => instr(col("text"), w) > 0), "Red").otherwise("Green"))
+      .drop("sw_country", "__words")
   }
 
   /** Figure 18 — nested-subquery UDF: Red if the tweet's country is among
@@ -109,12 +112,10 @@ object Enrichments {
       .orderBy(desc("cnt"), asc("sw_country"))
       .limit(10)
       .select(col("sw_country")))
-    val flagged = tweets
-      .join(top10, col("country") === col("sw_country"), "left_semi")
-      .select(col("id")).withColumn("__red", lit(true))
-    leftEnrich(tweets, flagged)
-      .withColumn("high_risk_flag", when(col("__red"), "Red").otherwise("Green"))
-      .drop("__red")
+    tweets
+      .join(top10, col("country") === col("sw_country"), "left")
+      .withColumn("high_risk_flag", when(col("sw_country").isNotNull, "Red").otherwise("Green"))
+      .drop("sw_country")
   }
 
   /** Use case 1 (Appendix A) — Safety Rating: hash join on country code. */
@@ -222,61 +223,42 @@ object Enrichments {
         col("suspect_id"), col("religion_name"), col("threat_level")))), ",")
         as "suspicious_users_info")
 
-    leftEnrich(leftEnrich(leftEnrich(tweets, facAgg), bldAgg), susAgg,
-      Map.empty) // fills applied below so each column defaults independently
-      .withColumn("nearby_facilities", coalesce(col("nearby_facilities"), lit("")))
-      .withColumn("nearby_religious_buildings", coalesce(col("nearby_religious_buildings"), lit("")))
-      .withColumn("suspicious_users_info", coalesce(col("suspicious_users_info"), lit("")))
+    leftEnrich(leftEnrich(leftEnrich(tweets, facAgg), bldAgg), susAgg, Map(
+      "nearby_facilities" -> lit(""),
+      "nearby_religious_buildings" -> lit(""),
+      "suspicious_users_info" -> lit("")))
   }
 
   /** Use case 7 (Appendix G) — Tweet Context: district average income,
     * facility counts per district, and ethnicity distribution of district
-    * residents. The reference-to-reference spatial joins (facilities ×
-    * districts, residents × districts) are re-evaluated per computing-job
-    * invocation — the dominant cost the paper observes for this UDF. The
-    * tiny district table is explicitly broadcast (the only viable plan for
-    * a band-join).
+    * residents. The batch is band-joined to its district, then joined on
+    * the district to each per-district side. The reference-to-reference
+    * spatial joins (facilities × districts, residents × districts) are
+    * re-evaluated per computing-job invocation — the dominant cost the
+    * paper observes for this UDF. The tiny district table is explicitly
+    * broadcast (the only viable plan for a band-join).
     */
   def tweetContext(tweets: DataFrame, refs: Refs): DataFrame = {
     val dist = broadcast(refs.districts)
+    def inDistrict(x: String, y: String): Column =
+      Spatial.inRectCol(col(x), col(y), col("x_min"), col("y_min"), col("x_max"), col("y_max"))
+    // Per district, the sorted "<kind>:<count>" list of the `ref` points in it.
+    def countsByDistrict(ref: DataFrame, x: String, y: String, kind: String, name: String): DataFrame =
+      ref.join(dist, inDistrict(x, y))
+        .groupBy(col("district_area_id"), col(kind))
+        .agg(count(lit(1)) as "cnt")
+        .groupBy(col("district_area_id"))
+        .agg(array_join(array_sort(collect_list(concat_ws(":", col(kind), col("cnt")))), ",") as name)
 
-    val tweetDistrict = tweets.select(col("id"), col("latitude"), col("longitude"))
-      .join(dist, Spatial.inRectCol(col("latitude"), col("longitude"),
-        col("x_min"), col("y_min"), col("x_max"), col("y_max")), "left")
-      .select(col("id"), col("district_area_id"))
-
-    val income = tweetDistrict
-      .join(refs.averageIncomes.withColumnRenamed("district_area_id", "__d"),
-        col("district_area_id") === col("__d"), "left")
-      .select(col("id"), col("average_income") as "area_avg_income")
-
-    val facByDistrict = refs.facilities
-      .join(dist, Spatial.inRectCol(col("facility_x"), col("facility_y"),
-        col("x_min"), col("y_min"), col("x_max"), col("y_max")))
-      .groupBy(col("district_area_id"), col("facility_type"))
-      .agg(count(lit(1)) as "cnt")
-      .groupBy(col("district_area_id"))
-      .agg(array_join(array_sort(collect_list(concat_ws(":", col("facility_type"), col("cnt")))), ",")
-        as "area_facilities")
-      .withColumnRenamed("district_area_id", "__d")
-    val facilitiesPerTweet = tweetDistrict
-      .join(facByDistrict, col("district_area_id") === col("__d"), "left")
-      .select(col("id"), col("area_facilities"))
-
-    val ethByDistrict = refs.residents
-      .join(dist, Spatial.inRectCol(col("x"), col("y"),
-        col("x_min"), col("y_min"), col("x_max"), col("y_max")))
-      .groupBy(col("district_area_id"), col("ethnicity"))
-      .agg(count(lit(1)) as "cnt")
-      .groupBy(col("district_area_id"))
-      .agg(array_join(array_sort(collect_list(concat_ws(":", col("ethnicity"), col("cnt")))), ",")
-        as "ethnicity_dist")
-      .withColumnRenamed("district_area_id", "__d")
-    val ethnicityPerTweet = tweetDistrict
-      .join(ethByDistrict, col("district_area_id") === col("__d"), "left")
-      .select(col("id"), col("ethnicity_dist"))
-
-    leftEnrich(leftEnrich(leftEnrich(tweets, income), facilitiesPerTweet), ethnicityPerTweet)
+    val incomes = refs.averageIncomes.select(col("district_area_id"), col("average_income") as "area_avg_income")
+    val facilities = countsByDistrict(refs.facilities, "facility_x", "facility_y", "facility_type", "area_facilities")
+    val ethnicities = countsByDistrict(refs.residents, "x", "y", "ethnicity", "ethnicity_dist")
+    tweets
+      .join(dist, inDistrict("latitude", "longitude"), "left")
+      .join(incomes, Seq("district_area_id"), "left")
+      .join(facilities, Seq("district_area_id"), "left")
+      .join(ethnicities, Seq("district_area_id"), "left")
+      .drop("district_area_id", "x_min", "y_min", "x_max", "y_max")
       .withColumn("area_facilities", coalesce(col("area_facilities"), lit("")))
       .withColumn("ethnicity_dist", coalesce(col("ethnicity_dist"), lit("")))
   }

@@ -9,13 +9,13 @@ import repro.text.Text
 /** The paper's *Java UDF* evaluation model: per-record functions over
   * in-memory state loaded from resource files at initialization (Figure 7).
   *
-  * Here "initialization" is [[compile]] — it collects the needed reference
-  * snapshot into plain Scala structures (hash maps, arrays), and the
-  * returned closure enriches records one at a time, exactly like
-  * `evaluate(IFunctionHelper)`. A **static** pipeline compiles once at feed
-  * start (stale state forever, the current-AsterixDB baseline); a
-  * **dynamic** pipeline re-compiles per computing job (reference updates
-  * visible per batch).
+  * Here "initialization" is applying a [[byName]] entry to a reference
+  * snapshot ([[compile]]) — it collects the data it needs into plain Scala
+  * structures (hash maps, arrays), and the returned closure enriches
+  * records one at a time, exactly like `evaluate(IFunctionHelper)`. A
+  * **static** pipeline compiles once at feed start (stale state forever,
+  * the current-AsterixDB baseline); a **dynamic** pipeline re-compiles per
+  * computing job (reference updates visible per batch).
   *
   * Per the paper, the Java monument lookup has no R-Tree: it scans the full
   * monument array per record, which is why the indexed SQL++ variant beats
@@ -26,46 +26,40 @@ import repro.text.Text
   */
 object JavaUdfs {
 
-  /** Use cases with a Java implementation (the paper benchmarks Java for
-    * use cases 1–5 plus the UDF-2 safety check).
+  /** The use cases with a Java implementation (the paper benchmarks Java
+    * for use cases 1–5 plus the UDF-2 safety check), each as a function
+    * that loads the state it needs from a reference snapshot and returns
+    * the per-record enrichment of a batch.
     */
-  val supported: Set[String] = Set(
-    "tweet_safety_check", "high_risk_check", "safety_rating",
-    "religious_population", "largest_religions", "fuzzy_suspects",
-    "nearby_monuments")
-
-  /** Loads the state `name` needs from `refs` and returns the per-record
-    * enrichment of a batch.
-    */
-  def compile(name: String, refs: Refs): DataFrame => DataFrame = name match {
-    case "tweet_safety_check" =>
+  val byName: Map[String, Refs => DataFrame => DataFrame] = Map(
+    "tweet_safety_check" -> { refs =>
       // Figure 7: country -> keyword list.
       val kw = refs.sensitiveWords.select("country", "word").collect()
         .groupBy(_.getString(0)).view.mapValues(_.map(_.getString(1)).toVector).toMap
       val f = udf((country: String, text: String) =>
         if (kw.getOrElse(country, Vector.empty).exists(text.contains)) "Red" else "Green")
       df => df.withColumn("safety_check_flag", f(col("country"), col("text")))
-
-    case "high_risk_check" =>
+    },
+    "high_risk_check" -> { refs =>
       val top10 = refs.sensitiveWords.select("country").collect()
         .groupBy(_.getString(0)).view.mapValues(_.size).toSeq
         .sortBy { case (c, n) => (-n, c) }.take(10).map(_._1).toSet
       val f = udf((country: String) => if (top10.contains(country)) "Red" else "Green")
       df => df.withColumn("high_risk_flag", f(col("country")))
-
-    case "safety_rating" =>
+    },
+    "safety_rating" -> { refs =>
       val m = refs.safetyRatings.select("country_code", "safety_rating").collect()
         .map(r => r.getString(0) -> r.getString(1)).toMap
       val f = udf((country: String) => m.get(country))
       df => df.withColumn("safety_rating", f(col("country")))
-
-    case "religious_population" =>
+    },
+    "religious_population" -> { refs =>
       val m = refs.religiousPopulations.select("country_name", "population").collect()
         .groupBy(_.getString(0)).view.mapValues(_.map(_.getLong(1)).sum).toMap
       val f = udf((country: String) => m.get(country))
       df => df.withColumn("religious_population", f(col("country")))
-
-    case "largest_religions" =>
+    },
+    "largest_religions" -> { refs =>
       val m = refs.religiousPopulations.select("country_name", "religion_name", "population").collect()
         .groupBy(_.getString(0)).view.mapValues { rows =>
           rows.map(r => (r.getString(1), r.getLong(2)))
@@ -74,8 +68,8 @@ object JavaUdfs {
         }.toMap
       val f = udf((country: String) => m.getOrElse(country, ""))
       df => df.withColumn("largest_religions", f(col("country")))
-
-    case "fuzzy_suspects" =>
+    },
+    "fuzzy_suspects" -> { refs =>
       val suspects = refs.suspects.select("sensitive_name", "religion_name").collect()
         .map(r => (r.getString(0), r.getString(1)))
       val f = udf { (screenName: String) =>
@@ -86,8 +80,8 @@ object JavaUdfs {
           .toVector.sorted.mkString(",")
       }
       df => df.withColumn("related_suspects", f(col("screen_name")))
-
-    case "nearby_monuments" =>
+    },
+    "nearby_monuments" -> { refs =>
       // No index in the Java path: full scan of the monument array per record.
       val monuments = refs.monuments.select("monument_id", "monument_x", "monument_y").collect()
         .map(r => (r.getString(0), r.getDouble(1), r.getDouble(2)))
@@ -97,9 +91,14 @@ object JavaUdfs {
           .map(_._1).toVector.sorted.mkString(",")
       }
       df => df.withColumn("nearby_monuments", f(col("latitude"), col("longitude")))
+    })
 
-    case other =>
-      throw new IllegalArgumentException(
-        s"no Java UDF implementation for '$other' (supported: ${supported.toSeq.sorted.mkString(", ")})")
-  }
+  val supported: Set[String] = byName.keySet
+
+  /** Loads the state `name` needs from `refs` and returns the per-record
+    * enrichment of a batch.
+    */
+  def compile(name: String, refs: Refs): DataFrame => DataFrame =
+    byName.getOrElse(name, throw new IllegalArgumentException(
+      s"no Java UDF implementation for '$name' (supported: ${supported.toSeq.sorted.mkString(", ")})"))(refs)
 }

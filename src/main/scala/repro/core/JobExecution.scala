@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.execution.SparkPlan
-import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, AdaptiveSparkPlanHelper, BroadcastQueryStageExec}
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanHelper, BroadcastQueryStageExec}
 import org.apache.spark.sql.execution.exchange.BroadcastExchangeExec
 
 /** Execution of one computing job's query, followed by the release of the
@@ -30,20 +30,12 @@ object JobExecution extends AdaptiveSparkPlanHelper {
     * each in a `BroadcastQueryStageExec` (the stage may wrap a reused
     * exchange); only a materialized stage's `relationFuture` is read, as
     * reading it on a stage that did not run would start a broadcast job.
-    * A stage can run and then leave the final plan: when a shuffle stage
-    * above it comes back empty, adaptive execution prunes that subtree.
-    * Every stage the plan created stays in its context's stage cache
-    * (exchange reuse, on by default, keeps it), so the cache is walked
-    * too. A non-adaptive plan holds the exchanges directly; only an
-    * exchange that ran has a completed `completionFuture`.
+    * A non-adaptive plan holds the exchanges directly; only an exchange
+    * that ran has a completed `completionFuture`.
     */
-  private[core] def builtBroadcasts(plan: SparkPlan): Seq[Broadcast[_]] = {
-    val nodes = collect(plan) { case p => p }
-    val cachedStages = nodes.collect { case a: AdaptiveSparkPlanExec => a.context.stageCache.values }.flatten
-    (nodes ++ cachedStages).flatMap {
+  private[core] def builtBroadcasts(plan: SparkPlan): Seq[Broadcast[_]] =
+    collect(plan) {
       case s: BroadcastQueryStageExec if s.isMaterialized => Some(s.broadcast.relationFuture.get())
       case e: BroadcastExchangeExec => e.completionFuture.value.flatMap(_.toOption)
-      case _ => None
-    }.distinctBy(_.id)
-  }
+    }.flatten.distinctBy(_.id)
 }

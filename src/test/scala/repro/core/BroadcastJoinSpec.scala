@@ -12,7 +12,7 @@ import org.apache.spark.sql.catalyst.optimizer.BuildRight
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.{Exchange, ShuffleExchangeExec}
-import org.apache.spark.sql.execution.joins.BroadcastHashJoinExec
+import org.apache.spark.sql.execution.joins.{BaseJoinExec, BroadcastHashJoinExec}
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.apache.spark.storage.BroadcastBlockId
 import org.scalatest.concurrent.Eventually
@@ -109,9 +109,7 @@ class BroadcastJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper with Even
     assert(collect(plan) { case e: ShuffleExchangeExec => e }.isEmpty, plan.treeString)
   }
 
-  // tweet_safety_check is left out: when no tweet of the batch contains a
-  // sensitive word, adaptive execution drops its semi join from the final plan.
-  for (udf <- Seq("religious_population", "largest_religions", "high_risk_check"))
+  for (udf <- Seq("religious_population", "largest_religions", "tweet_safety_check", "high_risk_check"))
     test(s"$udf broadcasts its reference side and never exchanges the batch side") {
       val plan = finalPlan(udf)
       val joins = collect(plan) { case j: BroadcastHashJoinExec => j }
@@ -149,11 +147,23 @@ class BroadcastJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper with Even
       joins.foreach(j => assert(collect(j.right) { case e: ShuffleExchangeExec => e }.isEmpty, j.treeString))
     }
 
-  for ((refsName, refs) <- refVariants)
-    test(s"largest_religions plans no shuffle at all, on $refsName") {
-      val plan = finalPlan("largest_religions", refs())
+  for ((refsName, refs) <- refVariants;
+       udf <- Seq("largest_religions", "tweet_safety_check", "high_risk_check"))
+    test(s"$udf plans no shuffle at all, on $refsName") {
+      val plan = finalPlan(udf, refs())
+      assert(collect(plan) { case j: BroadcastHashJoinExec => j }.size == 1, plan.treeString)
       assert(collect(plan) { case e: ShuffleExchangeExec => e }.isEmpty, plan.treeString)
     }
+
+  test("tweet_context joins the batch on its district, never on the tweet id") {
+    val plan = finalPlan("tweet_context")
+    val joins = collect(plan) { case j: BaseJoinExec => j }
+    assert(joins.nonEmpty, plan.treeString)
+    joins.foreach { j =>
+      val keys = (j.leftKeys ++ j.rightKeys).flatMap(_.references.map(_.name))
+      assert(!keys.contains("id"), j.treeString)
+    }
+  }
 
   test("the ad-hoc SQL path uses the same broadcast joins") {
     for (name <- PredeployedJob.adhocSql.keys) {
@@ -190,11 +200,9 @@ class BroadcastJoinSpec extends SparkSpec with AdaptiveSparkPlanHelper with Even
     assert(JobExecution.builtBroadcasts(plain.queryExecution.executedPlan).isEmpty)
   }
 
-  // No reference row matches these tweets, so the semi joins of
-  // tweet_safety_check and high_risk_check come back empty after their
-  // broadcast has been built, and adaptive execution prunes the join (and
-  // its broadcast stage) from the final plan. suspicious_names finds no
-  // sensitive author.
+  // No reference row matches these tweets: tweet_safety_check and
+  // high_risk_check build their broadcast and then find no country in it,
+  // and suspicious_names finds no sensitive author.
   for (udf <- Seq("tweet_safety_check", "high_risk_check", "suspicious_names"))
     test(s"$udf on a batch with no matches leaves no broadcast behind") {
       val unmatched = TweetData.localTweets(100).map(_.copy(country = "ZZ", user_name = "nobody"))
